@@ -19,8 +19,12 @@ test:
 short:
 	$(GO) test -short ./...
 
+# vet also fails when gofmt would rewrite any Go file (.bench_build is
+# the benchmark's build cache, not source).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the repo's go/analysis-style suite (cmd/revtr-lint). Per
 # package: detpath (wall clock / global rand / unsorted map ranges),

@@ -7,7 +7,7 @@
 //	GET /metrics   engine + service counters, gauges, latency histograms
 //	GET /healthz   plain-text liveness probe
 //
-// The batch scheduler (POST /api/v1/batch) is always on; -batch-workers,
+// The batch scheduler (POST /api/v1/batch) is always on; -batch-inflight,
 // -batch-queue-cap, -batch-quantum, and -max-batch-pairs (per-request
 // submission size cap) tune it. With -store-dir the
 // measurement archive is durable: a restarted server replays its WAL and
@@ -98,7 +98,6 @@ func main() {
 		storeSync     = flag.Bool("store-sync", false, "fsync the measurement WAL after every append")
 		storeWALMax   = flag.Int64("store-max-wal-bytes", 0, "compact (snapshot + truncate) when the WAL exceeds this (0 = default 4 MiB)")
 		storeRecMax   = flag.Int("store-max-records", 0, "cap the live measurement set, dropping oldest (0 = unbounded)")
-		batchWorkers  = flag.Int("batch-workers", 4, "concurrent batch measurement workers (sync fallback; async dispatch bounds by -batch-inflight instead)")
 		batchInFlight = flag.Int("batch-inflight", 4096, "max concurrently in-flight async batch measurements")
 		batchQueue    = flag.Int("batch-queue-cap", 1024, "batch dispatch queue cap; submissions past it are load-shed")
 		batchQuantum  = flag.Int("batch-quantum", 4, "deficit round-robin quantum: jobs served per user per ring visit")
@@ -204,18 +203,17 @@ func main() {
 	}
 	log.Printf("streaming: /api/v1/batch/{id}/events + /api/v1/firehose (subscriber ring %d)", effRing)
 
-	// The batch scheduler's workers live until the shutdown context
+	// The batch scheduler's dispatcher lives until the shutdown context
 	// fires; Drain below waits for the last in-flight measurements.
 	batchCtx, stopBatch := context.WithCancel(context.Background())
 	defer stopBatch()
 	sc := reg.EnableBatch(batchCtx, sched.Options{
-		Workers:     *batchWorkers,
 		QueueCap:    *batchQueue,
 		Quantum:     *batchQuantum,
 		MaxInFlight: *batchInFlight,
 	})
-	log.Printf("batch scheduler: %d workers (async: up to %d in flight), queue cap %d, quantum %d",
-		*batchWorkers, *batchInFlight, *batchQueue, *batchQuantum)
+	log.Printf("batch scheduler: up to %d in flight, queue cap %d, quantum %d",
+		*batchInFlight, *batchQueue, *batchQuantum)
 
 	// Print a few example destination addresses so users can try the API
 	// without reading the topology dump.

@@ -33,6 +33,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"revtr/internal/lint/analysis"
 	"revtr/internal/lint/directive"
@@ -202,7 +203,8 @@ func (p *Program) directivesAt(pos token.Pos, kind string) []directive.Directive
 // DeclaredCallees resolves the //revtr:calls directives attached to a
 // call at pos. Targets that do not resolve in the loaded package set are
 // dropped (partial loads — linting one package — must not fail on
-// declarations about packages that are not in view).
+// declarations about packages that are not in view); DanglingCalls
+// reports the ones whose package is in view.
 func (p *Program) DeclaredCallees(pos token.Pos) []*types.Func {
 	var out []*types.Func
 	for _, d := range p.directivesAt(pos, directive.Calls) {
@@ -211,6 +213,38 @@ func (p *Program) DeclaredCallees(pos token.Pos) []*types.Func {
 		}
 	}
 	return out
+}
+
+// DanglingCalls reports each //revtr:calls target whose package is
+// loaded but declares no such function or method, at the outermost call
+// the directive annotates. DeclaredCallees drops such a target, so a
+// renamed callee would silently cut the edge lockorder and suspendsafe
+// rely on. Targets outside the loaded packages are not reported.
+func (p *Program) DanglingCalls(report func(call token.Pos, target string)) {
+	loaded := func(target string) bool {
+		for _, pkg := range p.Pkgs {
+			if rest, ok := strings.CutPrefix(target, pkg.PkgPath+"."); ok && !strings.Contains(rest, "/") {
+				return true
+			}
+		}
+		return false
+	}
+	seen := map[token.Pos]bool{}
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					for _, d := range p.directivesAt(call.Pos(), directive.Calls) {
+						if !seen[d.Pos] && d.Justification != "" && p.byName[d.Justification] == nil && loaded(d.Justification) {
+							seen[d.Pos] = true
+							report(call.Pos(), d.Justification)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // Callees returns fn's module-local, goroutine-local callees in first-

@@ -16,7 +16,9 @@
 // beyond a static key.
 //
 // An edge is excused with //revtr:lockorder <why> on the acquisition or
-// call line that creates it.
+// call line that creates it. A //revtr:calls target that names no
+// function of its loaded package is reported too: the edge it was meant
+// to declare is missing from the graph.
 package lockorder
 
 import (
@@ -48,6 +50,9 @@ type edge struct {
 
 func run(pass *flow.Pass) error {
 	prog := pass.Prog
+	prog.DanglingCalls(func(call token.Pos, target string) {
+		pass.Reportf(call, "//revtr:calls target %s names no function in its package; the declared call-graph edge is missing — fix the target", target)
+	})
 
 	// Transitive acquire sets: every lock a call into fn may take, on
 	// this goroutine (go-launched work is excluded by the call graph).

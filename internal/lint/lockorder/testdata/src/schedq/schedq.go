@@ -12,6 +12,7 @@ import "sync"
 type Q struct {
 	mu        sync.Mutex
 	TryCharge func(user string) bool
+	OnJob     func(user string)
 	pending   int
 }
 
@@ -26,4 +27,14 @@ func (q *Q) Submit(user string) bool {
 		q.pending++
 	}
 	return ok
+}
+
+// Notify publishes through an indirect call whose first declared target
+// names no method of the loaded regq package: the edge it meant to add
+// is missing, which is reported. The second target lives in a package
+// outside the load and is tolerated.
+func (q *Q) Notify(user string) {
+	//revtr:calls revtr/internal/lint/lockorder/testdata/src/regq.Registry.gone
+	q.OnJob(user) // want "//revtr:calls target revtr/internal/lint/lockorder/testdata/src/regq\\.Registry\\.gone names no function"
+	q.OnJob(user) //revtr:calls example.com/elsewhere.Sink.Publish
 }

@@ -38,7 +38,7 @@ func TestChaosSchedulerAccounting(t *testing.T) {
 				return fmt.Sprintf("r:%s>%s", src, dst), nil
 			}
 			o := obs.New()
-			s := sched.New(exec, sched.Options{Workers: 6, QueueCap: 300, Quantum: 3, Obs: o})
+			s := sched.New(spawned(exec), sched.Options{MaxInFlight: 6, QueueCap: 300, Quantum: 3, Obs: o})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			s.Start(ctx)

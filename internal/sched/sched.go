@@ -3,16 +3,17 @@
 // runner that the paper's bulk workload needs (revtr 2.0 sustains
 // 11.7M reverse traceroutes per day, §3). It accepts batches of
 // (src, dst) jobs, admits them into a bounded queue with explicit
-// load-shedding, dispatches onto a bounded worker set with per-user
-// fair share (deficit round-robin across users, FIFO within a user),
+// load-shedding, dispatches them through one non-blocking dispatcher
+// with per-user fair share (deficit round-robin across users, FIFO
+// within a user),
 // and coalesces duplicate (src, dst) work — Doubletree's redundancy
 // elimination applied at the request layer: one measurement, N
 // subscribers, and neither coalesced jobs nor day-cache hits charge
 // any probe budget (Insight 1.4's 24-hour reuse window).
 //
-// The scheduler is measurement-agnostic: an Exec callback runs one
-// job, the service layer supplies one that drives the revtr engine and
-// archives the result. Everything else — admission, fairness,
+// The scheduler is measurement-agnostic: an ExecAsync callback starts
+// one job, the service layer supplies one that drives the revtr engine
+// and archives the result. Everything else — admission, fairness,
 // coalescing, cancellation on key revocation, metrics — lives here.
 package sched
 
@@ -75,7 +76,7 @@ var (
 	ErrUnknownBatch = errors.New("sched: unknown batch")
 )
 
-// JobRef identifies one admitted job to the Exec callbacks: its batch,
+// JobRef identifies one admitted job to the ExecAsync callback: its batch,
 // index within that batch, owning user key, and measurement endpoints.
 // The batch/index pair lets the executor publish per-job progress
 // (hop-by-hop streaming) onto the right topic.
@@ -87,18 +88,14 @@ type JobRef struct {
 	Dst   ipv4.Addr
 }
 
-// Exec runs one admitted job. It must honor ctx (cancelled jobs should
-// return promptly) and may be called from many workers concurrently.
-// The result is opaque to the scheduler; the service returns the
-// archived *service.Measurement.
-type Exec func(ctx context.Context, job JobRef) (any, error)
-
 // ExecAsync starts one admitted job without blocking the dispatcher:
 // the callee begins the measurement (e.g. core.Engine.MeasureAsync) and
-// calls done exactly once when it finishes. With an ExecAsync callback
-// the scheduler runs a single dispatcher instead of a worker pool, and
-// concurrency is bounded by Options.MaxInFlight suspended measurements
-// rather than Options.Workers parked goroutines — the §5.2.4 shape.
+// calls done exactly once when it finishes. It must honor ctx
+// (cancelled jobs should finish promptly). Concurrency is bounded by
+// Options.MaxInFlight started-but-unfinished jobs — suspended
+// measurements, not parked goroutines: the §5.2.4 shape. The result is
+// opaque to the scheduler; the service returns the archived
+// *service.Measurement.
 type ExecAsync func(ctx context.Context, job JobRef, done func(res any, err error))
 
 // JobEvent is one job lifecycle transition, delivered to Options.OnJob
@@ -124,16 +121,10 @@ type JobSpec struct {
 
 // Options tunes the scheduler.
 type Options struct {
-	// Workers bounds concurrent Exec calls. <= 0 means 4. Ignored when
-	// ExecAsync is set (MaxInFlight is the concurrency bound then).
+	// Deprecated: ignored. MaxInFlight bounds dispatch concurrency.
 	Workers int
-	// ExecAsync, when set, replaces the blocking Exec worker pool with a
-	// single non-blocking dispatcher: jobs are started through this
-	// callback and complete through its done function, so thousands can
-	// be in flight without a goroutine parked per job.
-	ExecAsync ExecAsync
-	// MaxInFlight bounds concurrently started-but-unfinished ExecAsync
-	// jobs. <= 0 means 4096. Unused without ExecAsync.
+	// MaxInFlight bounds concurrently started-but-unfinished jobs.
+	// <= 0 means 4096.
 	MaxInFlight int
 	// QueueCap bounds jobs queued for dispatch across all users
 	// (coalesced subscribers ride their leader and do not count).
@@ -173,9 +164,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
 	}
@@ -205,7 +193,7 @@ type Job struct {
 	state     State
 	result    any
 	err       error
-	coalesced bool      // resolved without its own Exec call
+	coalesced bool      // resolved without its own ExecAsync call
 	admitted  time.Time // dispatch-latency base //revtr:wallclock observability timestamp, not simulation time
 }
 
@@ -233,8 +221,8 @@ type JobStatus struct {
 	// Coalesced marks jobs resolved by another job's measurement or
 	// the day cache — zero probes charged.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Result is the Exec result (the archived measurement, for the
-	// service's Exec). Present once the job is terminal and succeeded.
+	// Result is the ExecAsync result (the archived measurement, for the
+	// service's callback). Present once the job is terminal and succeeded.
 	Result any    `json:"result,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
@@ -273,10 +261,10 @@ type userQueue struct {
 	inRing  bool
 }
 
-// Scheduler is the batch scheduler. Create with New, start workers with
-// Start, submit with Submit. Safe for concurrent use.
+// Scheduler is the batch scheduler. Create with New, start the
+// dispatcher with Start, submit with Submit. Safe for concurrent use.
 type Scheduler struct {
-	exec Exec
+	exec ExecAsync
 	opts Options
 
 	mu       sync.Mutex
@@ -287,7 +275,7 @@ type Scheduler struct {
 	ring     []*userQueue // users with pending jobs, round-robin order
 	ringIdx  int
 	queued   int
-	inflight int // started-but-unfinished ExecAsync jobs
+	inflight int // started-but-unfinished jobs
 	flights  map[key]*flight
 	running  map[*Job]context.CancelFunc
 	revoked  map[string]bool
@@ -299,7 +287,7 @@ type Scheduler struct {
 	stopped  bool
 	started  bool
 	wg       sync.WaitGroup
-	drained  chan struct{} // closed when every worker has exited
+	drained  chan struct{} // closed when the dispatcher has exited
 
 	mQueueDepth *obs.Gauge
 	mCoalesced  *obs.Counter
@@ -309,9 +297,9 @@ type Scheduler struct {
 	mDispatch   *obs.Histogram
 }
 
-// New builds a scheduler over an Exec callback. Call Start to begin
-// dispatching.
-func New(exec Exec, opts Options) *Scheduler {
+// New builds a scheduler over an ExecAsync callback. Call Start to
+// begin dispatching.
+func New(exec ExecAsync, opts Options) *Scheduler {
 	opts = opts.withDefaults()
 	s := &Scheduler{
 		exec:        exec,
@@ -360,15 +348,9 @@ func (s *Scheduler) notifyLocked(j *Job) {
 	})
 }
 
-// countExecPanic tallies one recovered Exec/ExecAsync panic.
-func (s *Scheduler) countExecPanic() {
-	s.opts.Obs.Counter("sched_exec_panics_total").Inc()
-}
-
-// Start launches the worker set. Workers stop when ctx is cancelled
-// (or Stop is called); in-flight Exec calls inherit ctx and are
-// cancelled with it. Start returns immediately; it is a no-op after
-// the first call.
+// Start launches the dispatcher. It stops when ctx is cancelled (or
+// Stop is called); started jobs inherit ctx and are cancelled with it.
+// Start returns immediately; it is a no-op after the first call.
 func (s *Scheduler) Start(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -381,15 +363,8 @@ func (s *Scheduler) Start(ctx context.Context) {
 	s.started = true
 	s.drained = make(chan struct{})
 	s.mu.Unlock()
-	if s.opts.ExecAsync != nil {
-		s.wg.Add(1)
-		go s.dispatcher(ctx)
-	} else {
-		for i := 0; i < s.opts.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker(ctx)
-		}
-	}
+	s.wg.Add(1)
+	go s.dispatcher(ctx)
 	go func() {
 		s.wg.Wait()
 		close(s.drained)
@@ -400,9 +375,9 @@ func (s *Scheduler) Start(ctx context.Context) {
 	}()
 }
 
-// Stop cancels dispatching: workers finish their current job and
-// exit, queued jobs stay queued, and Submit starts rejecting. Stop
-// does not wait — pair it with Drain for an orderly shutdown.
+// Stop cancels dispatching: started jobs run to completion, queued
+// jobs stay queued, and Submit starts rejecting. Stop does not wait —
+// pair it with Drain for an orderly shutdown.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	s.stopped = true
@@ -411,8 +386,8 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 }
 
-// Drain blocks until every worker has exited (after Stop or Start-ctx
-// cancellation) or ctx ends.
+// Drain blocks until the dispatcher has exited — every started job
+// finished — after Stop or Start-ctx cancellation, or until ctx ends.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -459,10 +434,12 @@ func (s *Scheduler) Submit(ctx context.Context, user string, specs []JobSpec) (B
 	s.nextID++
 	now := time.Now() //revtr:wallclock dispatch-latency observability base, not simulation time
 	needed, capShed := 0, 0
+	// Every job is open before the first is admitted: a leading day-cache
+	// hit or shed must not be taken for the batch's last transition.
+	b.open = len(specs)
 	for i, spec := range specs {
 		j := &Job{batch: b, idx: i, user: user, src: spec.Src, dst: spec.Dst, admitted: now}
 		b.jobs = append(b.jobs, j)
-		b.open++
 		k := key{spec.Src, spec.Dst}
 		if e, ok := s.cache[k]; ok {
 			// Day-cache hit: resolved immediately, zero probes.
@@ -585,48 +562,10 @@ func (s *Scheduler) rememberBatchLocked(b *Batch) {
 	}
 }
 
-// worker dispatches jobs until the scheduler stops.
-func (s *Scheduler) worker(ctx context.Context) {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		j := s.nextLocked()
-		if j == nil {
-			s.mu.Unlock()
-			return
-		}
-		j.state = StateRunning
-		s.countState(StateRunning)
-		s.notifyLocked(j)
-		s.mDispatch.Observe(time.Since(j.admitted).Microseconds()) //revtr:wallclock dispatch-latency histogram measures real queueing delay
-		jctx, cancel := context.WithCancel(ctx)
-		s.running[j] = cancel
-		s.mu.Unlock()
-
-		res, err := s.safeExec(jctx, j)
-		cancel()
-		s.complete(j, res, err)
-	}
-}
-
-// safeExec runs the Exec callback, converting a panic into a failed
-// job instead of killing the worker.
-func (s *Scheduler) safeExec(ctx context.Context, j *Job) (res any, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.countExecPanic()
-			res, err = nil, fmt.Errorf("sched: exec panic: %v", v)
-		}
-	}()
-	return s.exec(ctx, j.ref())
-}
-
-// dispatcher is the ExecAsync dispatch loop: one goroutine starts
-// every job, bounded by MaxInFlight unfinished starts, and each job's
-// completion callback signals it to start the next. On stop it waits
-// for in-flight jobs to complete before exiting (mirroring the worker
-// pool's "finish your current job" semantics), so Drain still means
-// "no job is running".
+// dispatcher is the dispatch loop: one goroutine starts every job,
+// bounded by MaxInFlight unfinished starts, and each job's completion
+// callback signals it to start the next. On stop it waits for started
+// jobs to complete before exiting, so Drain means "no job is running".
 func (s *Scheduler) dispatcher(ctx context.Context) {
 	defer s.wg.Done()
 	for {
@@ -654,14 +593,14 @@ func (s *Scheduler) dispatcher(ctx context.Context) {
 		s.inflight++
 		s.mu.Unlock()
 
-		s.execAsyncSafe(jctx, cancel, j)
+		s.execSafe(jctx, cancel, j)
 	}
 }
 
-// execAsyncSafe starts one job through the ExecAsync callback with a
+// execSafe starts one job through the ExecAsync callback with a
 // single-shot completion function, converting a synchronous panic into
 // a failed job instead of killing the dispatcher.
-func (s *Scheduler) execAsyncSafe(ctx context.Context, cancel context.CancelFunc, j *Job) {
+func (s *Scheduler) execSafe(ctx context.Context, cancel context.CancelFunc, j *Job) {
 	var once sync.Once
 	done := func(res any, err error) {
 		once.Do(func() {
@@ -675,11 +614,11 @@ func (s *Scheduler) execAsyncSafe(ctx context.Context, cancel context.CancelFunc
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			s.countExecPanic()
+			s.opts.Obs.Counter("sched_exec_panics_total").Inc()
 			done(nil, fmt.Errorf("sched: exec panic: %v", v))
 		}
 	}()
-	s.opts.ExecAsync(ctx, j.ref(), done) //revtr:calls revtr/internal/service.Registry.batchExecAsync
+	s.exec(ctx, j.ref(), done) //revtr:calls revtr/internal/service.Registry.batchExec
 }
 
 // nextLocked blocks until a job is dispatchable and picks it by
@@ -938,9 +877,9 @@ func (s *Scheduler) Revoked(user string) bool {
 	return s.revoked[user]
 }
 
-// WrapRevoked converts an Exec error of a revoked user's job into
+// WrapRevoked converts an ExecAsync error of a revoked user's job into
 // ErrRevoked so the scheduler's promotion logic applies. The service's
-// Exec calls this on its error return.
+// callback calls this on its error return.
 func (s *Scheduler) WrapRevoked(user string, err error) error {
 	if err == nil {
 		return nil

@@ -20,7 +20,7 @@ import (
 func TestRevokePurgesDayCache(t *testing.T) {
 	ex := newPureExec()
 	o := obs.New()
-	s := sched.New(ex.exec, sched.Options{Workers: 2, Obs: o})
+	s := sched.New(spawned(ex.exec), sched.Options{MaxInFlight: 2, Obs: o})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -60,8 +60,8 @@ func TestRevokePurgesDayCache(t *testing.T) {
 	}
 }
 
-// TestAsyncDispatchBoundsInFlight: with an ExecAsync callback the
-// scheduler runs jobs through one dispatcher bounded by MaxInFlight
+// TestAsyncDispatchBoundsInFlight: the scheduler runs jobs through one
+// dispatcher bounded by MaxInFlight
 // started-but-unfinished jobs; completions arriving from a foreign
 // goroutine resolve jobs and open dispatch slots.
 func TestAsyncDispatchBoundsInFlight(t *testing.T) {
@@ -85,7 +85,7 @@ func TestAsyncDispatchBoundsInFlight(t *testing.T) {
 		completions <- pendingJob{src: job.Src, dst: job.Dst, done: done}
 	}
 	o := obs.New()
-	s := sched.New(nil, sched.Options{ExecAsync: execAsync, MaxInFlight: maxInFlight, Obs: o})
+	s := sched.New(execAsync, sched.Options{MaxInFlight: maxInFlight, Obs: o})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -134,7 +134,7 @@ func TestAsyncExecPanicFailsJob(t *testing.T) {
 		}
 		done("ok", nil)
 	}
-	s := sched.New(nil, sched.Options{ExecAsync: execAsync, Obs: obs.New()})
+	s := sched.New(execAsync, sched.Options{Obs: obs.New()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)

@@ -38,6 +38,28 @@ func (e *pureExec) exec(ctx context.Context, job sched.JobRef) (any, error) {
 	return fmt.Sprintf("path:%s>%s:hops=%d", src, dst, (uint32(src)^uint32(dst))%16), nil
 }
 
+// blockingExec is a test executor that runs one job to completion on
+// the calling goroutine.
+type blockingExec func(ctx context.Context, job sched.JobRef) (any, error)
+
+// inline adapts a blocking executor to sched.ExecAsync by running it on
+// the dispatcher goroutine: jobs run one at a time, in dispatch order,
+// and a panic reaches the dispatcher's recover synchronously.
+func inline(exec blockingExec) sched.ExecAsync {
+	return func(ctx context.Context, job sched.JobRef, done func(any, error)) {
+		done(exec(ctx, job))
+	}
+}
+
+// spawned adapts a blocking executor to sched.ExecAsync by running each
+// job on its own goroutine, so up to Options.MaxInFlight jobs run
+// concurrently.
+func spawned(exec blockingExec) sched.ExecAsync {
+	return func(ctx context.Context, job sched.JobRef, done func(any, error)) {
+		go func() { done(exec(ctx, job)) }()
+	}
+}
+
 func (e *pureExec) callsFor(src, dst ipv4.Addr) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -79,7 +101,7 @@ func waitBatch(t *testing.T, s *sched.Scheduler, id string) sched.BatchStatus {
 func TestCoalescingDuplicateHeavyBatch(t *testing.T) {
 	ex := newPureExec()
 	o := obs.New()
-	s := sched.New(ex.exec, sched.Options{Workers: 4, Obs: o})
+	s := sched.New(spawned(ex.exec), sched.Options{MaxInFlight: 4, Obs: o})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -137,7 +159,7 @@ func TestCoalescingDuplicateHeavyBatch(t *testing.T) {
 	}
 }
 
-// TestFairShareDeficitRoundRobin: with one worker and everything
+// TestFairShareDeficitRoundRobin: with one job in flight and everything
 // queued up front, dispatch follows the DRR pattern — quantum jobs per
 // user per ring visit — so no user waits more than
 // (users-1)*quantum dispatches between two of its own.
@@ -151,7 +173,7 @@ func TestFairShareDeficitRoundRobin(t *testing.T) {
 		return "ok", nil
 	}
 	const quantum = 2
-	s := sched.New(exec, sched.Options{Workers: 1, Quantum: quantum, QueueCap: 10_000})
+	s := sched.New(inline(exec), sched.Options{MaxInFlight: 1, Quantum: quantum, QueueCap: 10_000})
 
 	// alice floods; bob and carol submit small batches. Unique dsts per
 	// user so nothing coalesces across users.
@@ -211,8 +233,8 @@ func TestFairShareDeficitRoundRobin(t *testing.T) {
 // returns ErrOverloaded.
 func TestShedOnQueueCap(t *testing.T) {
 	o := obs.New()
-	s := sched.New(newPureExec().exec, sched.Options{Workers: 1, QueueCap: 10, Obs: o})
-	// Workers not started: everything stays queued.
+	s := sched.New(inline(newPureExec().exec), sched.Options{MaxInFlight: 1, QueueCap: 10, Obs: o})
+	// Dispatcher not started: everything stays queued.
 	st := mustSubmit(t, s, "alice", specs(addr(1), seqAddrs(100, 25)...))
 	if st.Counts["queued"] != 10 || st.Counts["shed"] != 15 {
 		t.Fatalf("counts = %v", st.Counts)
@@ -257,12 +279,12 @@ func seqAddrs(base uint32, n int) []ipv4.Addr {
 }
 
 // TestWorkerCountBitIdentity: per-job results are bit-identical
-// between workers=1 and workers=8 — scheduling order may differ, the
-// result attached to each job may not.
+// between MaxInFlight=1 and MaxInFlight=8 — scheduling order may
+// differ, the result attached to each job may not.
 func TestWorkerCountBitIdentity(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(maxInFlight int) []byte {
 		ex := newPureExec()
-		s := sched.New(ex.exec, sched.Options{Workers: workers, QueueCap: 10_000})
+		s := sched.New(spawned(ex.exec), sched.Options{MaxInFlight: maxInFlight, QueueCap: 10_000})
 		var ids []string
 		for ui, u := range []string{"alice", "bob", "carol"} {
 			var sp []sched.JobSpec
@@ -297,7 +319,7 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 	one := run(1)
 	many := run(8)
 	if string(one) != string(many) {
-		t.Fatalf("results differ between workers=1 and workers=8:\n%s\nvs\n%s", one, many)
+		t.Fatalf("results differ between MaxInFlight=1 and MaxInFlight=8:\n%s\nvs\n%s", one, many)
 	}
 }
 
@@ -318,7 +340,7 @@ func TestRevokeCancelsQueuedAndRunning(t *testing.T) {
 			return "ok", nil
 		}
 	}
-	s := sched.New(exec, sched.Options{Workers: 1, QueueCap: 100})
+	s := sched.New(inline(exec), sched.Options{MaxInFlight: 1, QueueCap: 100})
 	schedRef = s
 
 	// alice: one job that will run (and block), plus queued jobs.
@@ -363,7 +385,7 @@ func TestFailedLeaderFailsSubscribers(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("measurement failed")
 	}
-	s := sched.New(exec, sched.Options{Workers: 2})
+	s := sched.New(spawned(exec), sched.Options{MaxInFlight: 2})
 	st := mustSubmit(t, s, "alice", specs(addr(1), addr(9), addr(9), addr(9)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -384,7 +406,7 @@ func TestFailedLeaderFailsSubscribers(t *testing.T) {
 // TestWaitHonorsContext: Wait returns when its context ends even if
 // the batch never completes.
 func TestWaitHonorsContext(t *testing.T) {
-	s := sched.New(newPureExec().exec, sched.Options{Workers: 1})
+	s := sched.New(inline(newPureExec().exec), sched.Options{MaxInFlight: 1})
 	st := mustSubmit(t, s, "alice", specs(addr(1), addr(2))) // never started
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -397,7 +419,7 @@ func TestWaitHonorsContext(t *testing.T) {
 }
 
 // TestExecPanicFailsJob: a panicking executor fails the job instead of
-// killing the worker, and the worker keeps serving.
+// killing the dispatcher, and the dispatcher keeps serving.
 func TestExecPanicFailsJob(t *testing.T) {
 	var n atomic.Int64
 	exec := func(ctx context.Context, job sched.JobRef) (any, error) {
@@ -406,7 +428,7 @@ func TestExecPanicFailsJob(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	s := sched.New(exec, sched.Options{Workers: 1})
+	s := sched.New(inline(exec), sched.Options{MaxInFlight: 1})
 	st := mustSubmit(t, s, "alice", specs(addr(1), addr(2), addr(3)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -417,10 +439,10 @@ func TestExecPanicFailsJob(t *testing.T) {
 	}
 }
 
-// TestStopAndDrain: Stop is prompt, Drain observes worker exit, and
+// TestStopAndDrain: Stop is prompt, Drain observes dispatcher exit, and
 // post-stop submissions are rejected.
 func TestStopAndDrain(t *testing.T) {
-	s := sched.New(newPureExec().exec, sched.Options{Workers: 2})
+	s := sched.New(spawned(newPureExec().exec), sched.Options{MaxInFlight: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -434,5 +456,80 @@ func TestStopAndDrain(t *testing.T) {
 	}
 	if _, err := s.Submit(context.Background(), "alice", specs(addr(1), addr(3))); !errors.Is(err, sched.ErrStopped) {
 		t.Fatalf("post-stop submit err = %v", err)
+	}
+}
+
+// TestBatchDoneOnLastTransition: a batch reports BatchDone exactly
+// once, on the transition that makes its last job terminal — even when
+// its first job is resolved at admission (a day-cache hit or a quota
+// shed) while later jobs are still queued. Counting open jobs up during
+// admission flagged job 0 as the batch's last transition, ending its
+// event stream early.
+func TestBatchDoneOnLastTransition(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		firstWant string
+	}{
+		{"cache-hit-first", "coalesced"},
+		{"shed-first", "shed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				mu     sync.Mutex
+				events []sched.JobEvent
+			)
+			charges := 0
+			s := sched.New(inline(newPureExec().exec), sched.Options{
+				MaxInFlight: 1,
+				// The shed case refuses the first measurement only.
+				TryCharge: func(string) bool {
+					charges++
+					return tc.firstWant != "shed" || charges != 1
+				},
+				OnJob: func(ev sched.JobEvent) {
+					mu.Lock()
+					events = append(events, ev)
+					mu.Unlock()
+				},
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.Start(ctx)
+			if tc.firstWant == "coalesced" {
+				// Warm the day cache with the pair the batch leads with.
+				waitBatch(t, s, mustSubmit(t, s, "alice", specs(addr(1), addr(100))).ID)
+			}
+
+			st := mustSubmit(t, s, "alice", specs(addr(1), addr(100), addr(101)))
+			if got := st.Jobs[0].State; got != tc.firstWant {
+				t.Fatalf("job 0 admitted as %q, want %q", got, tc.firstWant)
+			}
+			final := waitBatch(t, s, st.ID)
+
+			mu.Lock()
+			defer mu.Unlock()
+			var batch []sched.JobEvent
+			for _, ev := range events {
+				if ev.Batch == st.ID {
+					batch = append(batch, ev)
+				}
+			}
+			dones := 0
+			for i, ev := range batch {
+				if !ev.BatchDone {
+					continue
+				}
+				dones++
+				if i != len(batch)-1 {
+					t.Errorf("BatchDone on event %d (job %d, %s) of %d", i, ev.Index, ev.State, len(batch))
+				}
+			}
+			if dones != 1 {
+				t.Fatalf("batch reported BatchDone %d times, want 1 (events %+v)", dones, batch)
+			}
+			if last := batch[len(batch)-1]; last.Index != 1 || last.State.String() != final.Jobs[1].State {
+				t.Fatalf("last event = job %d %s, want job 1 %s", last.Index, last.State, final.Jobs[1].State)
+			}
+		})
 	}
 }

@@ -1,9 +1,8 @@
 package service_test
 
-// Async batch dispatch: when the backend implements AsyncBackend, the
-// batch scheduler routes jobs through the non-blocking path, so the
-// number of measurements in flight is bounded by MaxInFlight suspended
-// measurements — not by Workers goroutines.
+// Async batch dispatch: the batch scheduler starts every job through
+// Backend.MeasureAsyncStream, so the number of measurements in flight is
+// bounded by MaxInFlight suspended measurements — not by goroutines.
 
 import (
 	"context"
@@ -18,30 +17,31 @@ import (
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/sched"
 	"revtr/internal/service"
+	"revtr/internal/stream"
 )
 
-// asyncGate is an AsyncBackend that parks every measurement as a stored
-// completion callback until the test releases it — the measurement
-// holds no goroutine while parked, exactly like a suspended machine.
+// asyncGate is a Backend that parks every batch measurement as a
+// stored completion callback until the test releases it — the
+// measurement holds no goroutine while parked, exactly like a
+// suspended machine.
 type asyncGate struct {
 	mu      sync.Mutex
 	pending []func()
-	started chan struct{} // one tick per MeasureAsync entry
+	started chan struct{} // one tick per MeasureAsyncStream entry
 }
 
 func (b *asyncGate) RegisterSource(addr ipv4.Addr) (core.Source, error) {
 	return core.Source{Agent: measure.Agent{Addr: addr}, Atlas: atlas.New(measure.Agent{Addr: addr})}, nil
 }
 
-// Measure is the blocking fallback; the async dispatch path must never
-// use it.
+// Measure is the blocking path; batch dispatch must never use it.
 func (b *asyncGate) Measure(ctx context.Context, src core.Source, dst ipv4.Addr) *core.Result {
 	return &core.Result{Src: src.Agent.Addr, Dst: dst, Status: core.StatusComplete}
 }
 
 func (b *asyncGate) RefreshAtlas(core.Source) {}
 
-func (b *asyncGate) MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result)) {
+func (b *asyncGate) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, _ func(stream.Event), done func(*core.Result)) {
 	res := &core.Result{Src: src.Agent.Addr, Dst: dst, Status: core.StatusComplete}
 	b.mu.Lock()
 	b.pending = append(b.pending, func() { done(res) })
@@ -63,17 +63,17 @@ func (b *asyncGate) flushOne() bool {
 	return true
 }
 
-// TestBatchAsyncInFlightBeyondWorkers: with one worker but MaxInFlight
-// of 8, eight measurements enter the backend before any completes —
-// impossible on the blocking path, where a single worker goroutine
-// serializes them — and a ninth is dispatched only once a slot frees.
+// TestBatchAsyncInFlightBeyondWorkers: with MaxInFlight of 8, eight
+// measurements enter the backend before any completes — none holds a
+// goroutine while parked — and a ninth is dispatched only once a slot
+// frees.
 func TestBatchAsyncInFlightBeyondWorkers(t *testing.T) {
 	const maxInFlight = 8
 	bb := &asyncGate{started: make(chan struct{}, 64)}
 	reg := service.NewRegistry(bb, "adm")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 1, MaxInFlight: maxInFlight})
+	sc := reg.EnableBatch(ctx, sched.Options{MaxInFlight: maxInFlight})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())
@@ -144,7 +144,7 @@ func TestBatchAsyncInFlightBeyondWorkers(t *testing.T) {
 	}
 }
 
-// TestBatchAsyncEndToEnd: the real engine's MeasureAsync drives a batch
+// TestBatchAsyncEndToEnd: the real engine's MeasureAsyncStream drives a batch
 // through the service layer — submitted jobs complete, results carry
 // reverse paths, and measurements land in the archive.
 func TestBatchAsyncEndToEnd(t *testing.T) {

@@ -77,24 +77,22 @@ func (b *DeploymentBackend) Measure(ctx context.Context, src core.Source, dst ip
 	return b.Engine.MeasureReverse(ctx, src, dst)
 }
 
-// MeasureAsync implements AsyncBackend: the engine's resumable state
-// machine runs the measurement without parking a goroutine across
-// spoofed-batch timeouts, and done receives the finished result (nil on
-// a backend panic, matching Measure's recover contract in the service).
+// MeasureAsync is MeasureAsyncStream without a sink. The registry never
+// calls it; the benchmark module's traced backend delegates to it.
 func (b *DeploymentBackend) MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result)) {
 	b.Engine.MeasureAsync(ctx, src, dst, done)
 }
 
-// MeasureStream implements StreamBackend: a blocking measurement that
-// reports hop-by-hop progress events to sink as the engine reveals the
-// reverse path.
+// MeasureStream is Measure with a progress sink. The registry never
+// calls it; the benchmark module's traced backend delegates to it.
 func (b *DeploymentBackend) MeasureStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event)) *core.Result {
 	return b.Engine.MeasureReverseStream(ctx, src, dst, sink)
 }
 
-// MeasureAsyncStream implements StreamAsyncBackend: MeasureAsync with
-// progress events flowing to sink from whichever pool executor resumes
-// the suspended machine.
+// MeasureAsyncStream implements Backend: the engine's resumable state
+// machine runs the measurement without parking a goroutine across
+// spoofed-batch timeouts, and progress events flow to sink from
+// whichever pool executor resumes the suspended machine.
 func (b *DeploymentBackend) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result)) {
 	b.Engine.MeasureAsyncStream(ctx, src, dst, sink, done)
 }

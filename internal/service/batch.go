@@ -20,25 +20,9 @@ import (
 	"errors"
 
 	"revtr/internal/core"
-	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
 	"revtr/internal/sched"
 )
-
-// AsyncBackend is the optional non-blocking measurement interface: a
-// backend that can start a measurement and deliver its result through a
-// callback without parking a goroutine for the duration
-// (core.Engine.MeasureAsync). When the registry's backend implements
-// it, EnableBatch dispatches batch jobs through the scheduler's
-// asynchronous path, so batch concurrency is bounded by
-// sched.Options.MaxInFlight suspended measurements instead of
-// Options.Workers goroutines. done receives nil when the backend
-// panicked mid-measurement (mirroring Backend.Measure's recover
-// contract in safeMeasure).
-type AsyncBackend interface {
-	//revtr:suspends starting a measurement parks it until the backend's completion callback fires
-	MeasureAsync(ctx context.Context, src core.Source, dst ipv4.Addr, done func(*core.Result))
-}
 
 var (
 	// ErrBatchDisabled rejects batch calls on a registry without an
@@ -49,7 +33,7 @@ var (
 )
 
 // EnableBatch attaches a batch scheduler to the registry and starts its
-// workers; ctx stops them (pair with Drain on the returned scheduler
+// dispatcher; ctx stops it (pair with Drain on the returned scheduler
 // for an orderly shutdown). The scheduler shares the registry's metric
 // registry regardless of opts.Obs. Calling EnableBatch again returns
 // the already-enabled scheduler.
@@ -60,9 +44,6 @@ func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.S
 	opts.Obs = r.obs
 	opts.TryCharge = r.tryCharge
 	opts.OnJob = r.publishJobEvent
-	if _, ok := r.backend.(AsyncBackend); ok && opts.ExecAsync == nil {
-		opts.ExecAsync = r.batchExecAsync
-	}
 	sc := sched.New(r.batchExec, opts)
 	r.mu.Lock()
 	if r.sched != nil {
@@ -76,59 +57,22 @@ func (r *Registry) EnableBatch(ctx context.Context, opts sched.Options) *sched.S
 	return sc
 }
 
-// batchExec is the scheduler's Exec callback: run one measurement and
-// archive it. Quota was charged at admission (or at promotion, for a
-// leader that inherited a revoked flight), so nothing is charged
-// here — and the user's MaxParallel sync-request limit does not apply;
-// the scheduler's worker bound is the batch concurrency control.
-// Cancelled or panicked measurements return an error so their partial
-// results never resolve coalesced subscribers or enter the day cache.
-func (r *Registry) batchExec(ctx context.Context, job sched.JobRef) (any, error) {
-	key, src, dst := job.User, job.Src, job.Dst
+// batchExec is the scheduler's ExecAsync callback: start one
+// measurement through Backend.MeasureAsyncStream and finish it —
+// archive, status metrics, revocation wrapping — inside the completion
+// callback, on a probe-pool executor goroutine. Quota was charged at
+// admission (or at promotion), so nothing is charged here. The atlas
+// read lock is held across the suspended measurement, as safeMeasure
+// holds it, so DailyMaintenance cannot swap entries mid-measurement.
+// Cancelled or panicked measurements complete with an error so their
+// partial results never resolve coalesced subscribers or enter the day
+// cache.
+func (r *Registry) batchExec(ctx context.Context, job sched.JobRef, done func(res any, err error)) {
 	r.mu.Lock()
-	reg, ok := r.sources[src]
+	reg, ok := r.sources[job.Src]
 	sc := r.sched
 	name := ""
-	if u, known := r.users[key]; known {
-		name = u.Name
-	}
-	r.mu.Unlock()
-	if !ok {
-		return nil, ErrUnknownSource
-	}
-	res := r.safeMeasureStream(ctx, reg, dst, r.progressSink(job))
-	r.countBatchExec()
-	if res == nil {
-		return nil, sc.WrapRevoked(key, errors.New("service: backend panic"))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, sc.WrapRevoked(key, err)
-	}
-	m := buildMeasurement(src, dst, res)
-	m.User = name
-	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
-	if err := r.archiveMeasurement(m); err != nil {
-		return nil, err
-	}
-	r.publishMeasurement(m)
-	return m, nil
-}
-
-// batchExecAsync is the scheduler's ExecAsync callback: start one
-// measurement through the AsyncBackend and finish it — archive, status
-// metrics, revocation wrapping — inside the completion callback, which
-// runs on a probe-pool executor goroutine. The source's atlas lock is
-// held shared across the measurement's entire (suspended) lifetime,
-// exactly as the blocking path holds it across safeMeasure, so
-// DailyMaintenance cannot swap atlas entries mid-measurement. Falls
-// back to the blocking batchExec when the backend is not asynchronous.
-func (r *Registry) batchExecAsync(ctx context.Context, job sched.JobRef, done func(res any, err error)) {
-	key, src, dst := job.User, job.Src, job.Dst
-	r.mu.Lock()
-	reg, ok := r.sources[src]
-	sc := r.sched
-	name := ""
-	if u, known := r.users[key]; known {
+	if u, known := r.users[job.User]; known {
 		name = u.Name
 	}
 	r.mu.Unlock()
@@ -136,54 +80,27 @@ func (r *Registry) batchExecAsync(ctx context.Context, job sched.JobRef, done fu
 		done(nil, ErrUnknownSource)
 		return
 	}
-	ab, isAsync := r.backend.(AsyncBackend)
-	if !isAsync {
-		res, err := r.batchExec(ctx, job)
-		done(res, err)
-		return
-	}
-	finish := func(res *core.Result) {
-		r.countBatchExec()
+	reg.atlasMu.RLock()
+	//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
+	r.backend.MeasureAsyncStream(ctx, reg.src, job.Dst, r.progressSink(job), func(res *core.Result) {
+		reg.atlasMu.RUnlock()
+		r.obs.Counter("service_batch_exec_total").Inc()
 		if res == nil {
 			r.countBackendPanic()
-			done(nil, sc.WrapRevoked(key, errors.New("service: backend panic")))
+			done(nil, sc.WrapRevoked(job.User, errors.New("service: backend panic")))
 			return
 		}
 		if err := ctx.Err(); err != nil {
-			done(nil, sc.WrapRevoked(key, err))
+			done(nil, sc.WrapRevoked(job.User, err))
 			return
 		}
-		m := buildMeasurement(src, dst, res)
-		m.User = name
-		r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
-		if err := r.archiveMeasurement(m); err != nil {
+		m, err := r.record(job.Src, job.Dst, name, res, true)
+		if err != nil {
 			done(nil, err)
 			return
 		}
-		r.publishMeasurement(m)
 		done(m, nil)
-	}
-	sink := r.progressSink(job)
-	sab, canStream := r.backend.(StreamAsyncBackend)
-	reg.atlasMu.RLock()
-	if canStream && sink != nil {
-		//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
-		sab.MeasureAsyncStream(ctx, reg.src, dst, sink, func(res *core.Result) {
-			reg.atlasMu.RUnlock()
-			finish(res)
-		})
-	} else {
-		//revtr:heldacross the atlas read lock is pinned for the measurement's suspended lifetime — DailyMaintenance must not swap entries mid-measurement; the completion callback releases it
-		ab.MeasureAsync(ctx, reg.src, dst, func(res *core.Result) {
-			reg.atlasMu.RUnlock()
-			finish(res)
-		})
-	}
-}
-
-// countBatchExec tallies one finished batch measurement attempt.
-func (r *Registry) countBatchExec() {
-	r.obs.Counter("service_batch_exec_total").Inc()
+	})
 }
 
 // tryCharge is the scheduler's admission-quota callback: atomically

@@ -20,7 +20,25 @@ import (
 	"revtr/internal/sched"
 	"revtr/internal/service"
 	"revtr/internal/store"
+	"revtr/internal/stream"
 )
+
+// goMeasure is the MeasureAsyncStream of a test backend whose
+// measurement blocks: it runs measure on its own goroutine and hands the
+// result to done, reporting a panic as done(nil) the way the engine's
+// resumable driver does.
+func goMeasure(measure func() *core.Result, done func(*core.Result)) {
+	go func() {
+		done(func() (res *core.Result) {
+			defer func() {
+				if recover() != nil {
+					res = nil
+				}
+			}()
+			return measure()
+		}())
+	}()
+}
 
 // gatedBackend holds every measurement until release is closed, then
 // completes it. Lets tests park batch jobs in flight across ResetDay
@@ -47,6 +65,10 @@ func (b *gatedBackend) Measure(ctx context.Context, src core.Source, dst ipv4.Ad
 	}
 }
 
+func (b *gatedBackend) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, _ func(stream.Event), done func(*core.Result)) {
+	goMeasure(func() *core.Result { return b.Measure(ctx, src, dst) }, done)
+}
+
 func (b *gatedBackend) RefreshAtlas(core.Source) {}
 
 // batchRegistry builds a registry over a gated backend with the batch
@@ -57,7 +79,7 @@ func batchRegistry(t *testing.T, maxPerDay int) (*service.Registry, *gatedBacken
 	reg := service.NewRegistry(bb, "adm")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 4, QueueCap: 256})
+	sc := reg.EnableBatch(ctx, sched.Options{MaxInFlight: 4, QueueCap: 256})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())
@@ -250,7 +272,7 @@ func TestBatchRestartRecoversArchive(t *testing.T) {
 	close(bb.release)
 	reg := service.NewRegistryWithArchive(bb, "adm", arch)
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 2})
+	sc := reg.EnableBatch(ctx, sched.Options{MaxInFlight: 2})
 	u, err := reg.AddUser("adm", "alice", 4, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +366,7 @@ func TestBatchHTTPFlow(t *testing.T) {
 	reg := service.NewRegistry(service.NewDeploymentBackend(d), "admin-secret")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	reg.EnableBatch(ctx, sched.Options{Workers: 4})
+	reg.EnableBatch(ctx, sched.Options{})
 	ts := httptestServer(t, reg)
 
 	alice := decode[service.User](t, postJSON(t, ts+"/api/v1/users",
@@ -477,7 +499,7 @@ func TestBatchPromotionChargesQuota(t *testing.T) {
 	bb := &gatedBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
 	reg := service.NewRegistry(bb, "adm")
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 4, QueueCap: 64})
+	sc := reg.EnableBatch(ctx, sched.Options{MaxInFlight: 4, QueueCap: 64})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())

@@ -17,6 +17,7 @@ import (
 	"revtr/internal/measure"
 	"revtr/internal/netsim/ipv4"
 	"revtr/internal/service"
+	"revtr/internal/stream"
 )
 
 // fakeBackend is a controllable service.Backend: it can panic on demand,
@@ -67,6 +68,10 @@ func (b *fakeBackend) Measure(_ context.Context, src core.Source, dst ipv4.Addr)
 	}
 	_ = useful
 	return &core.Result{Src: src.Agent.Addr, Dst: dst, Status: core.StatusComplete}
+}
+
+func (b *fakeBackend) MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, _ func(stream.Event), done func(*core.Result)) {
+	goMeasure(func() *core.Result { return b.Measure(ctx, src, dst) }, done)
 }
 
 func (b *fakeBackend) RefreshAtlas(src core.Source) {

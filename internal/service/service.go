@@ -89,13 +89,28 @@ var (
 type Backend interface {
 	// RegisterSource bootstraps a source: RR reachability check + atlas.
 	RegisterSource(addr ipv4.Addr) (core.Source, error)
-	// Measure runs one reverse traceroute. Implementations must honor ctx
-	// cancellation/deadline by returning promptly with a failed result.
+	// Measure runs one blocking reverse traceroute: POST /api/v1/revtr
+	// and NDT. Implementations must honor ctx cancellation/deadline by
+	// returning promptly with a failed result.
 	Measure(ctx context.Context, src core.Source, dst ipv4.Addr) *core.Result
+	// MeasureAsyncStream starts one batch job's reverse traceroute
+	// without parking a goroutine and calls done exactly once with the
+	// result (nil if the backend panicked). Progress events go to sink,
+	// which may be nil and must not block.
+	//
+	//revtr:suspends starting a measurement parks it until the backend's completion callback fires
+	MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result))
 	// RefreshAtlas re-measures a source's atlas (the daily Random++
 	// replacement of Appendix D.2).
 	RefreshAtlas(src core.Source)
 }
+
+// Names Backend absorbed, kept as aliases for the benchmark module.
+type (
+	AsyncBackend       = Backend // perfbench asserts its traced backend against this name
+	StreamBackend      = Backend // perfbench asserts its traced backend against this name
+	StreamAsyncBackend = Backend // perfbench asserts its traced backend against this name
+)
 
 // Registry is the service state: users, sources, and the measurement
 // archive. Safe for concurrent use. The archive is an internal/store
@@ -297,40 +312,37 @@ func (r *Registry) Measure(ctx context.Context, key string, srcAddr, dstAddr ipv
 	if ctx.Err() != nil {
 		r.obs.Counter("service_measure_cancelled_total").Inc()
 	}
+	return r.record(srcAddr, dstAddr, u.Name, res, true)
+}
 
-	m := buildMeasurement(srcAddr, dstAddr, res)
-	m.User = u.Name
-	r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
+// record stores one finished measurement: it converts the backend
+// result (nil = backend panic) into the stored form, tallies its status
+// on service_measure_status_total when countStatus is set (NDT
+// measurements are not counted there), archives it — which assigns its
+// ID — and puts it on the firehose.
+func (r *Registry) record(srcAddr, dstAddr ipv4.Addr, user string, res *core.Result, countStatus bool) (*Measurement, error) {
+	m := &Measurement{Src: srcAddr.String(), Dst: dstAddr.String(), User: user, Status: "failed"}
+	if res != nil {
+		m.Status = res.Status.String()
+		m.DurationUS = res.DurationUS
+		m.Probes = res.Probes.Total()
+		for _, h := range res.Hops {
+			m.Hops = append(m.Hops, MeasuredHop{
+				Addr:      h.Addr.String(),
+				Technique: h.Tech.String(),
+				Suspect:   h.SuspectBefore,
+				Spliced:   h.Spliced,
+			})
+		}
+	}
+	if countStatus {
+		r.obs.Counter(obs.Label("service_measure_status_total", "status", m.Status)).Inc()
+	}
 	if err := r.archiveMeasurement(m); err != nil {
 		return nil, err
 	}
 	r.publishMeasurement(m)
 	return m, nil
-}
-
-// buildMeasurement converts a backend result (nil = backend panic)
-// into the stored form. The ID is assigned at archive time.
-func buildMeasurement(srcAddr, dstAddr ipv4.Addr, res *core.Result) *Measurement {
-	m := &Measurement{
-		Src: srcAddr.String(),
-		Dst: dstAddr.String(),
-	}
-	if res == nil { // backend panicked
-		m.Status = "failed"
-		return m
-	}
-	m.Status = res.Status.String()
-	m.DurationUS = res.DurationUS
-	m.Probes = res.Probes.Total()
-	for _, h := range res.Hops {
-		m.Hops = append(m.Hops, MeasuredHop{
-			Addr:      h.Addr.String(),
-			Technique: h.Tech.String(),
-			Suspect:   h.SuspectBefore,
-			Spliced:   h.Spliced,
-		})
-	}
-	return m
 }
 
 // archiveMeasurement appends m to the durable archive, stamping its ID
@@ -360,13 +372,6 @@ func (r *Registry) archiveMeasurement(m *Measurement) error {
 // and converts a backend panic into a nil result instead of letting it
 // unwind through the service.
 func (r *Registry) safeMeasure(ctx context.Context, reg *registeredSource, dst ipv4.Addr) (res *core.Result) {
-	return r.safeMeasureStream(ctx, reg, dst, nil)
-}
-
-// safeMeasureStream is safeMeasure with an optional progress sink:
-// when the backend can stream (StreamBackend) and a sink is given,
-// hop-by-hop events flow to it as the measurement runs.
-func (r *Registry) safeMeasureStream(ctx context.Context, reg *registeredSource, dst ipv4.Addr, sink func(stream.Event)) (res *core.Result) {
 	reg.atlasMu.RLock()
 	defer reg.atlasMu.RUnlock()
 	defer func() {
@@ -375,11 +380,6 @@ func (r *Registry) safeMeasureStream(ctx context.Context, reg *registeredSource,
 			res = nil
 		}
 	}()
-	if sink != nil {
-		if sb, ok := r.backend.(StreamBackend); ok {
-			return sb.MeasureStream(ctx, reg.src, dst, sink)
-		}
-	}
 	return r.backend.Measure(ctx, reg.src, dst)
 }
 
@@ -506,13 +506,7 @@ func (r *Registry) NDT(ctx context.Context, serverAddr, clientAddr ipv4.Addr) (*
 
 	res := r.safeMeasure(ctx, reg, clientAddr)
 	r.obs.Counter("service_ndt_total").Inc()
-
-	m := buildMeasurement(serverAddr, clientAddr, res)
-	if err := r.archiveMeasurement(m); err != nil {
-		return nil, err
-	}
-	r.publishMeasurement(m)
-	return m, nil
+	return r.record(serverAddr, clientAddr, "", res, false)
 }
 
 // maxNDTInFlight bounds opportunistic NDT-triggered measurements.

@@ -41,7 +41,7 @@ func TestSoakStream(t *testing.T) {
 	broker := reg.EnableStream(stream.Options{SubBuffer: 8, Replay: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	reg.EnableBatch(ctx, sched.Options{Workers: 6, QueueCap: 2048, Quantum: 3})
+	reg.EnableBatch(ctx, sched.Options{QueueCap: 2048, Quantum: 3})
 	ts := streamServer(t, reg)
 
 	srcHost := d.PickSourceHost(0)
@@ -265,7 +265,7 @@ func TestSoakStream(t *testing.T) {
 	// delivered directly or summarized in a gap. Drain-lag is bounded by
 	// a settle deadline.
 	adm := fhCounts["admin"]
-	settle := time.Now().Add(10 * time.Second) //revtr:wallclock settle deadline
+	settle := time.Now().Add(10 * time.Second)                                 //revtr:wallclock settle deadline
 	for adm.meas.Load()+adm.gaps.Load() < execs && time.Now().Before(settle) { //revtr:wallclock settle deadline
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -329,7 +329,7 @@ func TestSoakStream(t *testing.T) {
 	// A cancelled firehose client observes its disconnect before the
 	// server handler runs its deferred unsubscribe; give teardown a
 	// moment to settle instead of racing it.
-	teardown := time.Now().Add(5 * time.Second) //revtr:wallclock teardown settle deadline
+	teardown := time.Now().Add(5 * time.Second)                    //revtr:wallclock teardown settle deadline
 	for broker.Subscribers() != 0 && time.Now().Before(teardown) { //revtr:wallclock teardown settle deadline
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -1,7 +1,7 @@
 // Streaming glue: the service face of internal/stream. EnableStream
 // attaches a broker; batch measurements then publish hop-by-hop
-// progress onto per-batch topics (through the StreamBackend /
-// StreamAsyncBackend interfaces below), the scheduler's OnJob callback
+// progress onto per-batch topics (through the sink of
+// Backend.MeasureAsyncStream), the scheduler's OnJob callback
 // mirrors job lifecycle transitions onto the same topics, and every
 // archived measurement — sync, batch, or NDT — lands on the server-wide
 // firehose topic.
@@ -14,31 +14,9 @@
 package service
 
 import (
-	"context"
-
-	"revtr/internal/core"
-	"revtr/internal/netsim/ipv4"
 	"revtr/internal/sched"
 	"revtr/internal/stream"
 )
-
-// StreamBackend is the optional progress-streaming measurement
-// interface: a backend that can report typed progress events (hop
-// reveals, technique fallbacks, VP failovers) while a blocking
-// measurement runs. The sink is called from the measurement goroutine;
-// it must not block.
-type StreamBackend interface {
-	MeasureStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event)) *core.Result
-}
-
-// StreamAsyncBackend is the asynchronous flavour: progress events flow
-// to sink while the suspended measurement advances on probe-pool
-// executors, and done receives the finished result exactly as in
-// AsyncBackend.
-type StreamAsyncBackend interface {
-	//revtr:suspends starting a measurement parks it until the backend's completion callback fires
-	MeasureAsyncStream(ctx context.Context, src core.Source, dst ipv4.Addr, sink func(stream.Event), done func(*core.Result))
-}
 
 // EnableStream attaches a progress broker to the registry: batch jobs
 // start streaming hop reveals onto per-batch topics and archived
@@ -110,8 +88,7 @@ func (r *Registry) publishMeasurement(m *Measurement) {
 
 // progressSink tags engine progress events with their batch
 // coordinates and publishes them onto the batch topic. Nil when
-// streaming is not enabled, so backends fall back to their
-// non-streaming paths.
+// streaming is not enabled, so the measurement runs silently.
 func (r *Registry) progressSink(job sched.JobRef) func(stream.Event) {
 	b := r.broker.Load()
 	if b == nil {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"revtr"
+	"revtr/internal/netsim/ipv4"
 	"revtr/internal/obs"
 	"revtr/internal/sched"
 	"revtr/internal/service"
@@ -153,7 +154,7 @@ func deploymentRegistry(t *testing.T, streamOpts stream.Options) (*service.Regis
 	reg.EnableStream(streamOpts)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	sc := reg.EnableBatch(ctx, sched.Options{Workers: 4})
+	sc := reg.EnableBatch(ctx, sched.Options{})
 	t.Cleanup(func() {
 		cancel()
 		_ = sc.Drain(context.Background())
@@ -648,4 +649,72 @@ func TestStreamFirehose(t *testing.T) {
 	case <-time.After(150 * time.Millisecond):
 	}
 	cancel()
+}
+
+// TestStreamEndAfterEveryJobTerminal: a batch whose first job is a
+// day-cache hit must keep its event stream open until its other jobs
+// finish. The scheduler used to count the batch's open jobs up during
+// admission, so the cache hit on job 0 closed the stream with end/done
+// while job 1 was still queued.
+func TestStreamEndAfterEveryJobTerminal(t *testing.T) {
+	bb := &asyncGate{started: make(chan struct{}, 64)}
+	reg := service.NewRegistry(bb, "adm")
+	reg.EnableStream(stream.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	sc := reg.EnableBatch(ctx, sched.Options{})
+	t.Cleanup(func() {
+		cancel()
+		_ = sc.Drain(context.Background())
+	})
+	u, err := reg.AddUser("adm", "alice", 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := ipv4.ParseAddr("10.0.0.1")
+	if _, err := reg.RegisterSource(u.APIKey, src, false); err != nil {
+		t.Fatal(err)
+	}
+	ts := streamServer(t, reg)
+	started := func() {
+		t.Helper()
+		select {
+		case <-bb.started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("measurement never started")
+		}
+	}
+
+	// Measure pair 1 so the day cache holds it.
+	warm, err := reg.SubmitBatch(context.Background(), u.APIKey, pairs(src, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started()
+	bb.flushOne()
+	waitDone(t, reg, u.APIKey, warm.ID)
+
+	// Job 0 resolves from the cache at admission; job 1 is parked in
+	// the backend until the test releases it.
+	st, err := reg.SubmitBatch(context.Background(), u.APIKey, pairs(src, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Jobs[0].State != "coalesced" || st.Jobs[1].State == "done" {
+		t.Fatalf("admission states = %s, %s", st.Jobs[0].State, st.Jobs[1].State)
+	}
+	started()
+	ch, _ := openStream(t, ts+"/api/v1/batch/"+st.ID+"/events",
+		map[string]string{"X-API-Key": u.APIKey})
+	bb.flushOne()
+	evs := collectUntilEnd(t, ch, 10*time.Second)
+
+	terminal := map[int]bool{}
+	for _, ev := range evs {
+		if ev.Kind == stream.KindState && ev.State != "queued" && ev.State != "running" {
+			terminal[ev.Job] = true
+		}
+	}
+	if !terminal[0] || !terminal[1] {
+		t.Fatalf("stream ended before every job was terminal: %+v", evs)
+	}
 }
